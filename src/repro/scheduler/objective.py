@@ -80,12 +80,12 @@ def evaluate_schedule(schedule, routing, timing_result=None,
                       telemetry=None):
     """Compute the :class:`ScheduleCost` of a (partial) schedule.
 
-    Evaluation is delta-friendly: every utilization table is served from
-    the schedule's live counters, and timing is cached per region on its
-    mutation epoch, so the cost of a call is proportional to the
-    resources in use plus the regions that actually changed — not the
-    whole schedule. ``telemetry`` counts ``sched_evaluations`` and the
-    timing cache hit/recompute split.
+    Evaluation is delta-friendly: overuse is summed straight from the
+    schedule's live counters, and timing re-times only the DFG nodes a
+    mutation since the last call can affect, so the cost of a call is
+    proportional to the resources in use plus the nodes that actually
+    changed — not the whole schedule. ``telemetry`` counts
+    ``sched_evaluations`` and the timing counters.
     """
     if telemetry is not None:
         telemetry.incr("sched_evaluations")
@@ -97,7 +97,7 @@ def evaluate_schedule(schedule, routing, timing_result=None,
 
     # PE overuse: beyond one instruction for dedicated, beyond the
     # instruction buffer for shared.
-    for hw_name, load in schedule.pe_load().items():
+    for hw_name, load in schedule._pe_load.items():
         hw = schedule.adg.node(hw_name)
         capacity = hw.max_instructions if isinstance(
             hw, ProcessingElement
@@ -108,9 +108,10 @@ def evaluate_schedule(schedule, routing, timing_result=None,
     for hw_name, load in schedule.port_load().items():
         cost.overuse_port += max(0, load - 1)
 
-    # A dedicated link carries one value per instance.
-    for link_id, load in schedule.link_load().items():
-        cost.overuse_link += max(0, load - 1)
+    # A dedicated link carries one value per instance. Every link entry
+    # holds at least one value, so the overuse is a count difference.
+    link_values = schedule._link_value_refs
+    cost.overuse_link = sum(map(len, link_values.values())) - len(link_values)
 
     # Memory stream slots.
     for memory_name, streams in schedule.memory_streams().items():

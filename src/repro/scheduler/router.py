@@ -13,6 +13,14 @@ import heapq
 from repro.adg.components import DelayFifo, Switch
 
 
+def _hop_latency(dst):
+    if isinstance(dst, Switch):
+        return dst.latency
+    if isinstance(dst, DelayFifo):
+        return 1
+    return 0
+
+
 class RoutingGraph:
     """Precomputed routing view of an ADG.
 
@@ -30,11 +38,18 @@ class RoutingGraph:
     def __init__(self, adg):
         self.adg = adg
         self._links = {link.link_id: link for link in adg.links()}
+        # Pipeline latency each link adds to a routed path (flopped
+        # switches add a cycle each, delay FIFOs one; the final hop into
+        # the consumer is combinational): ``path_latency`` is a table sum.
+        self._link_latency = {
+            link_id: _hop_latency(adg.node(link.dst))
+            for link_id, link in self._links.items()
+        }
         # The adjacency lists and per-source BFS hop tables only serve
         # routing queries (``route``/``hops``/``reachable``); both are
         # filled on first use so timing-only consumers — the simulator
         # builds a RoutingGraph per replay just for ``path_latency`` —
-        # pay the link dict and nothing else.
+        # pay the two link tables and nothing else.
         self._adjacency = None  # node name -> [(link_id, dst, latency)]
         self._hop_cache = {}
 
@@ -124,14 +139,7 @@ class RoutingGraph:
     def path_latency(self, links):
         """Pipeline latency of a routed path (flopped switches add a cycle
         each; the final hop into the consumer is combinational)."""
-        latency = 0
-        for link_id in links:
-            dst = self.adg.node(self._links[link_id].dst)
-            if isinstance(dst, Switch):
-                latency += dst.latency
-            elif isinstance(dst, DelayFifo):
-                latency += 1
-        return latency
+        return sum(map(self._link_latency.__getitem__, links))
 
     def reachable(self, src, dst):
         return self.route(src, dst) is not None

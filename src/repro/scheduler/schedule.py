@@ -21,9 +21,15 @@ objective evaluates in time proportional to the resources actually in
 use rather than re-deriving every table per call. The from-scratch
 derivations are kept as ``_recompute_*`` oracles for property tests.
 
-Each mutation also bumps a per-region *epoch*; ``compute_timing`` caches
-per-region timing keyed on that epoch so only regions whose placement or
-routes changed are re-timed.
+Timing is *delta-maintained* too (see :mod:`repro.scheduler.timing`):
+once a region has been timed, the observers add the DFG nodes each
+mutation can affect to that region's dirty set, and ``compute_timing``
+re-times only those nodes plus the successors whose finish time moved.
+Anything the observers cannot see (``clear``, ``rebind``, wholesale
+assignment of ``placement`` or ``routes``, unpickling, replacing
+``input_delays``) drops the live timing state, and the next
+``compute_timing`` re-times from scratch. Stream bindings do not enter
+timing.
 
 Invariants callers must respect (all existing callers do):
 
@@ -163,12 +169,16 @@ class Schedule:
     def __init__(self, scope, adg):
         self.scope = scope
         self.adg = adg
-        self.input_delays = {}    # Edge -> extra delay-FIFO cycles
         self._region_by_name = {r.name: r for r in scope.regions}
         # Immutable software-side views, built lazily, shared by clones.
         self._edges = None
         self._edges_by_vertex = None
         self._all_vertices = None
+        self._timing_plans = {}     # region -> static timing plan
+        # Live delta-timing state: region -> repro.scheduler.timing
+        # state whose ``dirty`` set the observers fill. Never shared.
+        self._timing_state = {}
+        self.input_delays = {}      # Edge -> extra delay-FIFO cycles
         # Live utilization counters (see module docstring).
         self._pe_load = {}          # PE name -> mapped instruction count
         self._port_load = {}        # sync name -> mapped DFG port count
@@ -176,10 +186,7 @@ class Schedule:
         self._link_value_refs = {}  # link_id -> {value: route refcount}
         self._memory_streams = {}   # memory name -> [(region, port), ...]
         self._route_length = 0      # total links across all routes
-        # Timing-cache state: per-region mutation epoch plus the cached
-        # RegionTiming entries keyed on it (see repro.scheduler.timing).
-        self._region_epoch = {}
-        self._timing_cache = {}     # region -> (epoch, has_delays, timing)
+        self._region_pes = {}       # region -> {PE name: instr count}
         self._placement = _ObservedDict(
             self._vertex_placed, self._vertex_unplaced
         )
@@ -203,6 +210,8 @@ class Schedule:
         self._pe_load.clear()
         self._port_load.clear()
         self._pe_issue_cost.clear()
+        self._region_pes.clear()
+        self._timing_state = {}
         self._placement = _ObservedDict(
             self._vertex_placed, self._vertex_unplaced
         )
@@ -219,6 +228,7 @@ class Schedule:
         STATS["load_rebuilds"] += 1
         self._link_value_refs.clear()
         self._route_length = 0
+        self._timing_state = {}
         self._routes = _ObservedDict(self._route_added, self._route_removed)
         self._routes.update(items)
 
@@ -237,13 +247,32 @@ class Schedule:
         )
         self._stream_binding.update(items)
 
+    @property
+    def input_delays(self):
+        """Edge -> extra delay-FIFO cycles, written by ``compute_timing``.
+
+        Replacing the dict drops the live timing state: delta timing
+        only rewrites the entries of nodes it re-times.
+        """
+        return self._input_delays
+
+    @input_delays.setter
+    def input_delays(self, mapping):
+        self._input_delays = mapping
+        self._timing_state = {}
+
     # ------------------------------------------------------------------
     # Mutation observers
     # ------------------------------------------------------------------
-    def _bump_epoch(self, region_name):
-        self._region_epoch[region_name] = (
-            self._region_epoch.get(region_name, 0) + 1
-        )
+    def _mark_timing_dirty(self, region_name, node_id, consumers=False):
+        """Queue a node (and optionally its DFG consumers) for re-timing
+        in a region that has live timing state."""
+        state = self._timing_state.get(region_name)
+        if state is not None:
+            state.dirty.add(node_id)
+            if consumers:
+                # Constants have no entry (they are never timed).
+                state.dirty.update(state.plan.successors.get(node_id, ()))
 
     @staticmethod
     def _decrement(table, key, amount):
@@ -260,9 +289,12 @@ class Schedule:
             self._pe_issue_cost[hw_name] = (
                 self._pe_issue_cost.get(hw_name, 0) + _issue_cost(node.op)
             )
+            pes = self._region_pes.setdefault(vertex.region, {})
+            pes[hw_name] = pes.get(hw_name, 0) + 1
         elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
             self._port_load[hw_name] = self._port_load.get(hw_name, 0) + 1
-        self._bump_epoch(vertex.region)
+        # Flow violations depend on producer placement: consumers too.
+        self._mark_timing_dirty(vertex.region, vertex.node_id, True)
 
     def _vertex_unplaced(self, vertex, hw_name):
         node = self.node_of(vertex)
@@ -271,9 +303,14 @@ class Schedule:
             self._decrement(
                 self._pe_issue_cost, hw_name, _issue_cost(node.op)
             )
+            pes = self._region_pes.get(vertex.region)
+            if pes is not None:
+                self._decrement(pes, hw_name, 1)
+                if not pes:
+                    del self._region_pes[vertex.region]
         elif node.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
             self._decrement(self._port_load, hw_name, 1)
-        self._bump_epoch(vertex.region)
+        self._mark_timing_dirty(vertex.region, vertex.node_id, True)
 
     def _route_added(self, edge, links):
         value = edge.value
@@ -281,7 +318,7 @@ class Schedule:
             refs = self._link_value_refs.setdefault(link_id, {})
             refs[value] = refs.get(value, 0) + 1
         self._route_length += len(links)
-        self._bump_epoch(edge.region)
+        self._mark_timing_dirty(edge.region, edge.dst_id)
 
     def _route_removed(self, edge, links):
         value = edge.value
@@ -297,7 +334,7 @@ class Schedule:
                 if not refs:
                     del self._link_value_refs[link_id]
         self._route_length -= len(links)
-        self._bump_epoch(edge.region)
+        self._mark_timing_dirty(edge.region, edge.dst_id)
 
     def _stream_bound(self, key, memory_name):
         self._memory_streams.setdefault(memory_name, []).append(key)
@@ -395,7 +432,10 @@ class Schedule:
         self._placement.pop(vertex, None)
         for edge in self.edges_of(vertex):
             self._routes.pop(edge, None)
-            self.input_delays.pop(edge, None)
+            self._input_delays.pop(edge, None)
+            # The delay pop happens even for unrouted edges: the consumer
+            # must be re-timed to rewrite it.
+            self._mark_timing_dirty(edge.region, edge.dst_id)
 
     def hw_of(self, vertex):
         return self._placement.get(vertex)
@@ -414,16 +454,15 @@ class Schedule:
         dict.clear(self._placement)
         dict.clear(self._routes)
         dict.clear(self._stream_binding)
-        self.input_delays.clear()
+        self._input_delays.clear()
         self._pe_load.clear()
         self._port_load.clear()
         self._pe_issue_cost.clear()
+        self._region_pes.clear()
         self._link_value_refs.clear()
         self._memory_streams.clear()
         self._route_length = 0
-        self._timing_cache.clear()
-        for region in self.scope.regions:
-            self._bump_epoch(region.name)
+        self._timing_state = {}
 
     def clone(self):
         twin = Schedule(self.scope, self.adg)
@@ -449,23 +488,23 @@ class Schedule:
             for memory, keys in self._memory_streams.items()
         }
         twin._route_length = self._route_length
-        twin._region_epoch = dict(self._region_epoch)
-        twin._timing_cache = dict(self._timing_cache)
+        twin._region_pes = self.region_pes()
         # The DFG-derived views are immutable: share them with the twin.
+        # The twin starts without live timing state (one full re-time on
+        # first use).
         self.edges()
         twin._edges = self._edges
         twin._edges_by_vertex = self._edges_by_vertex
         twin._all_vertices = self._all_vertices
+        twin._timing_plans = self._timing_plans
         return twin
 
     def rebind(self, adg):
         """Reattach the schedule to a (possibly edited) ADG clone."""
         self.adg = adg
         # Routed path latencies and component properties may differ on
-        # the new hardware: every cached region timing is suspect.
-        self._timing_cache.clear()
-        for region in self.scope.regions:
-            self._bump_epoch(region.name)
+        # the new hardware: the live timing state is suspect.
+        self._timing_state = {}
 
     # ------------------------------------------------------------------
     # Pickling (warm schedules cross the DSE worker-process boundary)
@@ -557,31 +596,11 @@ class Schedule:
         """Total number of links across all routes."""
         return self._route_length
 
-    # ------------------------------------------------------------------
-    # Region timing cache (used by repro.scheduler.timing)
-    # ------------------------------------------------------------------
-    def region_epoch(self, region_name):
-        """Monotonic counter bumped on every placement/route mutation
-        touching ``region_name``."""
-        return self._region_epoch.get(region_name, 0)
-
-    def cached_region_timing(self, region_name, need_delays):
-        """The cached RegionTiming for ``region_name`` if still valid
-        (same epoch; delay-FIFO assignments present when required)."""
-        entry = self._timing_cache.get(region_name)
-        if entry is None:
-            return None
-        epoch, has_delays, timing = entry
-        if epoch != self._region_epoch.get(region_name, 0):
-            return None
-        if need_delays and not has_delays:
-            return None
-        return timing
-
-    def store_region_timing(self, region_name, has_delays, timing):
-        self._timing_cache[region_name] = (
-            self._region_epoch.get(region_name, 0), has_delays, timing
-        )
+    def region_pes(self):
+        """region -> {PE name: number of the region's instructions}."""
+        return {
+            region: dict(pes) for region, pes in self._region_pes.items()
+        }
 
     # ------------------------------------------------------------------
     # From-scratch oracles (property-test ground truth for the counters)
@@ -608,6 +627,14 @@ class Schedule:
             if node.kind is NodeKind.INSTR:
                 cost[hw_name] = cost.get(hw_name, 0) + _issue_cost(node.op)
         return cost
+
+    def _recompute_region_pes(self):
+        pes = {}
+        for vertex, hw_name in self._placement.items():
+            if self.node_of(vertex).kind is NodeKind.INSTR:
+                table = pes.setdefault(vertex.region, {})
+                table[hw_name] = table.get(hw_name, 0) + 1
+        return pes
 
     def _recompute_link_values(self):
         values = {}

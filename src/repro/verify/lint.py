@@ -13,8 +13,9 @@ structured :class:`~repro.verify.diagnostics.Diagnostic` records:
   switches and delay FIFOs, with no link carrying two distinct values;
 * delay-FIFO assignments respect the consumer PE's physical depth;
 * stream bindings reference real memories with enough stream slots;
-* the schedule's live utilization counters agree with from-scratch
-  recomputation (``state.*`` drift — incremental-bookkeeping bugs).
+* the schedule's live utilization counters and delta-timing state agree
+  with from-scratch recomputation (``state.*`` drift —
+  incremental-bookkeeping bugs).
 
 With ``allow_partial=True`` the conditions the stochastic search is
 explicitly allowed to violate while exploring (incompleteness, resource
@@ -22,6 +23,8 @@ overuse, unbound streams — Section IV-C) are reported as warnings
 instead of errors, so partial or repaired-but-unconverged schedules can
 be linted for *structural* damage without drowning in search noise.
 """
+
+from dataclasses import fields
 
 from repro.adg.components import (
     DelayFifo,
@@ -35,6 +38,8 @@ from repro.errors import AdgError
 from repro.ir.dfg import NodeKind
 from repro.ir.region import as_stream_list
 from repro.ir.stream import ConstStream, RecurrenceStream
+from repro.scheduler.router import RoutingGraph
+from repro.scheduler.timing import RegionTiming, _time_region
 from repro.verify.diagnostics import VerifyReport
 
 
@@ -432,6 +437,8 @@ def _lint_counter_state(schedule, report):
          schedule._recompute_pe_issue_cost()),
         ("link-values", schedule.link_values(),
          schedule._recompute_link_values()),
+        ("region-pes", schedule.region_pes(),
+         schedule._recompute_region_pes()),
     )
     for name, live, oracle in pairs:
         if live != oracle:
@@ -470,4 +477,54 @@ def _lint_counter_state(schedule, report):
             f"live route length {live_length} != recomputed "
             f"{oracle_length}",
             live=live_length, oracle=oracle_length,
+        )
+
+    _lint_timing_state(schedule, report)
+
+
+def _lint_timing_state(schedule, report):
+    """Diff every clean region's live delta-timing state, and the
+    delay-FIFO table it wrote, against the from-scratch timing oracle.
+
+    The oracle re-times a clone, so the linted schedule is not mutated.
+    Regions with dirty nodes, no live state, or state timed with another
+    ADG's routing graph are legitimately out of date until the next
+    ``compute_timing`` on this hardware, and are skipped.
+    """
+    clean = []
+    for region in schedule.regions():
+        state = schedule._timing_state.get(region.name)
+        if state is not None and not state.dirty \
+                and state.adg is schedule.adg:
+            clean.append((region, state))
+    if not clean:
+        return
+    twin = schedule.clone()
+    routing = RoutingGraph(schedule.adg)
+    for region, state in clean:
+        live = state.timing()
+        oracle = _time_region(twin, routing, region, True)
+        drifted = [
+            field.name for field in fields(RegionTiming)
+            if getattr(live, field.name) != getattr(oracle, field.name)
+        ]
+        if drifted:
+            report.add(
+                "state.timing-drift",
+                f"live timing of region {region.name!r} drifted from "
+                f"recomputation in {', '.join(drifted)}",
+                region=region.name, subject=region.name, fields=drifted,
+            )
+    live_delays = dict(schedule.input_delays)
+    oracle_delays = dict(twin.input_delays)
+    if live_delays != oracle_delays:
+        drifted = sorted(
+            repr(edge) for edge in set(live_delays) | set(oracle_delays)
+            if live_delays.get(edge) != oracle_delays.get(edge)
+        )
+        report.add(
+            "state.timing-drift",
+            f"live delay-FIFO assignments drifted from recomputation on "
+            f"{len(drifted)} edge(s)",
+            subject=", ".join(drifted[:4]), keys=drifted,
         )

@@ -4,15 +4,15 @@ The schedule maintains utilization counters (``pe_load``/``port_load``/
 ``link_values``/``memory_streams``/issue cost/route length) live under
 mutation instead of re-deriving them per objective evaluation. These
 tests pin the incremental state to the from-scratch ``_recompute_*``
-oracles under randomized mutation sequences, check the region-timing
-cache keyed on mutation epochs, and carry the regression tests for the
+oracles under randomized mutation sequences, pin the delta-timing state
+to the from-scratch ``_time_region`` oracle, check the per-region hit/
+recompute accounting, and carry the regression tests for the
 two move-operator bugs fixed in the same change (`_swap_instructions`
 reporting progress after a revert, `_reroute_congested` losing a route
 when an endpoint went unplaced).
 """
 
 import pickle
-
 
 from repro.adg import Adg, topologies
 from repro.adg.components import (
@@ -26,8 +26,14 @@ from repro.ir.stream import StreamDirection
 from repro.scheduler import RoutingGraph, Schedule, SpatialScheduler
 from repro.scheduler import stochastic as stochastic_mod
 from repro.scheduler.objective import evaluate_schedule
+from repro.scheduler.repair import strip_invalid
 from repro.scheduler.schedule import Edge, Vertex
-from repro.scheduler.timing import compute_timing
+from repro.scheduler.timing import (
+    _link_initiation_interval,
+    _pe_initiation_intervals,
+    _time_region,
+    compute_timing,
+)
 from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 from repro.verify import lint_schedule
@@ -54,6 +60,7 @@ def assert_counters_match_oracles(sched):
     assert sched.pe_issue_cost() == sched._recompute_pe_issue_cost()
     assert sched.link_values() == sched._recompute_link_values()
     assert sched.route_length() == sched._recompute_route_length()
+    assert sched.region_pes() == sched._recompute_region_pes()
     # memory_streams order within a memory is unspecified.
     live = {m: sorted(keys) for m, keys in sched.memory_streams().items()}
     oracle = {
@@ -74,9 +81,53 @@ def assert_counters_match_oracles(sched):
     assert not drift, report.describe()
 
 
+def oracle_timing(sched, routing, assign_delays):
+    """``compute_timing`` rebuilt from the from-scratch oracles only."""
+    per_pe = _pe_initiation_intervals(sched)
+    ii_link = _link_initiation_interval(sched)
+    regions = {}
+    for region in sched.regions():
+        timing = _time_region(sched, routing, region, assign_delays)
+        pes = {
+            sched.placement.get(Vertex(region.name, node.node_id))
+            for node in region.dfg.instructions()
+        }
+        timing.ii = max(
+            timing.ii, ii_link,
+            max((per_pe.get(hw, 1) for hw in pes if hw is not None),
+                default=1),
+        )
+        regions[region.name] = timing
+    return regions
+
+
+def assert_timing_matches_oracle(sched, routing, assign_delays=True):
+    """Delta timing equals the oracle on a rebuilt schedule, including
+    the delay-FIFO table it writes."""
+    rebuilt = Schedule(sched.scope, sched.adg)
+    rebuilt.placement = dict(sched.placement)
+    rebuilt.routes = {
+        edge: list(links) for edge, links in sched.routes.items()
+    }
+    rebuilt.stream_binding = dict(sched.stream_binding)
+    rebuilt.input_delays = dict(sched.input_delays)
+    live = compute_timing(sched, routing, assign_delays=assign_delays)
+    assert live.regions == oracle_timing(rebuilt, routing, assign_delays)
+    assert dict(sched.input_delays) == dict(rebuilt.input_delays)
+
+
 class TestIncrementalCounters:
     def test_randomized_mutations_match_oracles(self):
-        adg = topologies.softbrain()
+        self._randomized_mutations(topologies.softbrain())
+
+    def test_randomized_mutations_with_mixed_pes(self):
+        # revel mixes static and dynamic PEs, so flow violations (which
+        # depend on producer placement) are exercised as well as skew.
+        self._randomized_mutations(topologies.revel())
+
+    @staticmethod
+    def _randomized_mutations(adg):
+        routing = RoutingGraph(adg)
         sched = Schedule(dot_scope(n=8, unroll=4), adg)
         rng = DeterministicRng("parity")
         vertices = sched.vertices()
@@ -109,15 +160,57 @@ class TestIncrementalCounters:
                 sched.bind_stream(region, port, rng.choice(memories))
             else:
                 sched.stream_binding.pop(rng.choice(ports), None)
+            if step % 5 == 0:
+                # Every seventh check skips delay assignment.
+                assert_timing_matches_oracle(
+                    sched, routing, assign_delays=step % 35 != 0
+                )
             if step % 50 == 0:
                 assert_counters_match_oracles(sched)
-            if step == 200:
+            if step == 100:
+                # The round trip carries its own copy of the ADG.
+                sched = pickle.loads(pickle.dumps(sched))
+                adg = sched.adg
+                routing = RoutingGraph(adg)
+            elif step == 150:
+                # Shallower delay FIFOs change every static PE's timing.
+                adg = adg.clone()
+                for pe in adg.pes():
+                    pe.delay_fifo_depth = 1
+                routing = RoutingGraph(adg)
+                sched.rebind(adg)
+            elif step == 200:
                 sched = sched.clone()
-            if step == 300:
+            elif step == 250:
+                strip_invalid(sched, adg)
+            elif step == 300:
                 sched.clear()
                 assert sched.pe_load() == {}
                 assert sched.route_length() == 0
+            elif step == 340:
+                # Wholesale assignment drops the old entries unobserved.
+                sched.placement = {}
+            elif step == 350:
+                sched.routes = {}
+            elif step == 375:
+                sched.input_delays = {}
+            else:
+                continue
+            assert_timing_matches_oracle(sched, routing)
+        assert_timing_matches_oracle(sched, routing)
         assert_counters_match_oracles(sched)
+
+    def test_timing_follows_the_routing_graph_hardware(self):
+        adg = topologies.softbrain()
+        scheduler = SpatialScheduler(adg, max_iters=60)
+        sched, _ = scheduler.schedule(dot_scope(unroll=4))
+        assert_timing_matches_oracle(sched, scheduler.routing)
+        # Unflopped switches: every routed path gets shorter.
+        other = adg.clone()
+        for switch in other.switches():
+            switch.flop_output = False
+        assert_timing_matches_oracle(sched, RoutingGraph(other))
+        assert_timing_matches_oracle(sched, scheduler.routing)
 
     def test_wholesale_assignment_rebuilds_counters(self):
         adg = topologies.softbrain()

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.adg import topologies
-from repro.scheduler import Schedule, SpatialScheduler
+from repro.scheduler import RoutingGraph, Schedule, SpatialScheduler
+from repro.scheduler.timing import compute_timing
 from repro.verify import lint_schedule
 
 from tests.test_scheduler import dot_scope
@@ -168,6 +169,49 @@ def test_route_length_drift(mapped):
     schedule._route_length += 7
     report = lint_schedule(schedule, adg)
     assert "state.route-length-drift" in report.codes()
+
+
+def _timed_clone(mapped):
+    adg, schedule = _clone(mapped)
+    compute_timing(schedule, RoutingGraph(adg))
+    return adg, schedule
+
+
+def test_timed_schedule_has_no_timing_drift(mapped):
+    adg, schedule = _timed_clone(mapped)
+    delays = dict(schedule.input_delays)
+    report = lint_schedule(schedule, adg)
+    assert not report.select("state.timing-drift"), report.describe()
+    # The oracle re-times a clone: the linted schedule is untouched.
+    assert dict(schedule.input_delays) == delays
+    assert not any(s.dirty for s in schedule._timing_state.values())
+
+
+def test_timing_state_drift(mapped):
+    adg, schedule = _timed_clone(mapped)
+    state = next(iter(schedule._timing_state.values()))
+    state.latency += 3
+    report = lint_schedule(schedule, adg)
+    drift = report.select("state.timing-drift")
+    assert drift and drift[0].data["fields"] == ["latency"]
+
+
+def test_delay_table_drift(mapped):
+    adg, schedule = _timed_clone(mapped)
+    edge = next(iter(schedule.input_delays))
+    schedule.input_delays[edge] += 1
+    report = lint_schedule(schedule, adg)
+    assert "state.timing-drift" in report.codes()
+
+
+def test_dirty_timing_state_is_not_linted(mapped):
+    adg, schedule = _timed_clone(mapped)
+    state = next(iter(schedule._timing_state.values()))
+    state.latency += 3
+    vertex = next(iter(schedule.placement))
+    schedule.place(vertex, schedule.placement[vertex])  # marks dirty
+    report = lint_schedule(schedule, adg)
+    assert "state.timing-drift" not in report.codes()
 
 
 def test_check_state_false_skips_drift(mapped):
