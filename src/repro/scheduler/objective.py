@@ -105,7 +105,7 @@ def evaluate_schedule(schedule, routing, timing_result=None,
         cost.overuse_pe += max(0, load - capacity)
 
     # Sync elements host a single DFG port per configuration.
-    for hw_name, load in schedule.port_load().items():
+    for load in schedule._port_load.values():
         cost.overuse_port += max(0, load - 1)
 
     # A dedicated link carries one value per instance. Every link entry
@@ -114,7 +114,7 @@ def evaluate_schedule(schedule, routing, timing_result=None,
     cost.overuse_link = sum(map(len, link_values.values())) - len(link_values)
 
     # Memory stream slots.
-    for memory_name, streams in schedule.memory_streams().items():
+    for memory_name, streams in schedule._memory_streams.items():
         memory = schedule.adg.node(memory_name)
         slots = memory.num_stream_slots if isinstance(memory, Memory) else 1
         cost.overuse_memory += max(0, len(streams) - slots)

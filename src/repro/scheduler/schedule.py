@@ -568,8 +568,8 @@ class Schedule:
     def link_values(self):
         """link_id -> set of value identities routed through it.
 
-        Returns a fresh copy: callers (the router's congestion view)
-        mutate the result while speculating.
+        A fresh copy, kept for the linter and the tests; the scheduler
+        hands the router the live ``_link_value_refs`` view instead.
         """
         return {
             link_id: set(refs)

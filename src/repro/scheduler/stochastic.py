@@ -79,6 +79,7 @@ class SpatialScheduler:
         """
         telemetry = self.telemetry
         rebuilds_before = SCHEDULE_STATS["load_rebuilds"]
+        routes_before = self.routing.route_calls
         sched = initial if initial is not None else Schedule(scope, self.adg)
         if initial is not None and sched.adg is not self.adg:
             sched.rebind(self.adg)
@@ -126,6 +127,9 @@ class SpatialScheduler:
                         telemetry.incr("sched_escapes")
                         sched.unplace(self.rng.choice(placed))
         telemetry.incr("sched_runs")
+        telemetry.incr(
+            "sched_route_calls", self.routing.route_calls - routes_before
+        )
         rebuilt = SCHEDULE_STATS["load_rebuilds"] - rebuilds_before
         if rebuilt:
             telemetry.incr("sched_load_rebuilds", rebuilt)
@@ -333,7 +337,9 @@ class SpatialScheduler:
         # as congestion nor survive a move.
         for edge in sched.edges_of(vertex):
             sched.routes.pop(edge, None)
-        link_values = sched.link_values()
+        # The router prices congestion off the schedule's live per-link
+        # value counts, which ``set_route`` keeps current.
+        link_values = sched._link_value_refs
         for edge in sched.edges_of(vertex):
             src_hw = sched.placement.get(edge.src)
             dst_hw = sched.placement.get(edge.dst)
@@ -345,8 +351,6 @@ class SpatialScheduler:
             )
             if path is not None:
                 sched.set_route(edge, path)
-                for link_id in path:
-                    link_values.setdefault(link_id, set()).add(edge.value)
         return attempted
 
     def _route_all(self, sched):
@@ -455,20 +459,17 @@ class SpatialScheduler:
         ]
         self.rng.shuffle(edges)
         sched.routes.clear()
-        link_values = {}
         for edge in edges:
             path = self.routing.route(
                 sched.placement[edge.src], sched.placement[edge.dst],
-                link_values, edge.value,
+                sched._link_value_refs, edge.value,
             )
             if path is not None:
                 sched.set_route(edge, path)
-                for link_id in path:
-                    link_values.setdefault(link_id, set()).add(edge.value)
 
     def _reroute_congested(self, sched):
-        link_load = sched.link_load()
-        hot = {link for link, load in link_load.items() if load > 1}
+        link_values = sched._link_value_refs
+        hot = {link for link, refs in link_values.items() if len(refs) > 1}
         if not hot:
             return False
         congested = [
@@ -485,9 +486,7 @@ class SpatialScheduler:
             # committed — popping it here would silently lose it.
             return False
         old = sched.routes.pop(edge)
-        path = self.routing.route(
-            src_hw, dst_hw, sched.link_values(), edge.value
-        )
+        path = self.routing.route(src_hw, dst_hw, link_values, edge.value)
         sched.set_route(edge, path if path is not None else old)
         return True
 
@@ -498,8 +497,8 @@ class SpatialScheduler:
         if unplaced:
             return self.rng.choice(unplaced)
         overused = []
-        pe_load = sched.pe_load()
-        port_load = sched.port_load()
+        pe_load = sched._pe_load
+        port_load = sched._port_load
         for vertex, hw_name in sched.placement.items():
             node = sched.node_of(vertex)
             if node.kind is NodeKind.INSTR:
@@ -509,9 +508,9 @@ class SpatialScheduler:
                     overused.append(vertex)
             elif port_load.get(hw_name, 0) > 1:
                 overused.append(vertex)
-        link_load = sched.link_load()
         hot_links = {
-            link_id for link_id, load in link_load.items() if load > 1
+            link_id for link_id, refs in sched._link_value_refs.items()
+            if len(refs) > 1
         }
         for edge, links in sched.routes.items():
             if any(link_id in hot_links for link_id in links):

@@ -1,6 +1,6 @@
 """Golden artifact digests of from-scratch compiles.
 
-Pins ``artifact_digest(compile_kernel(...))`` for four Table I kernels
+Pins ``artifact_digest(compile_kernel(...))`` for six Table I kernels
 on ``softbrain`` at scale 0.1, so any change to the scheduler's search
 trajectory, its timing, or the delay-FIFO table shows up as a digest
 change. The pinned values are stable across ``PYTHONHASHSEED``; qr and
@@ -24,6 +24,10 @@ GOLDEN = {
                  "01ec6e76dadf8aeca534fdeddd2c9d40",
     "fft": "70904e0de042d3d86db528457329b4c5"
            "c5e98be7f3f6050bdb99748df2411167",
+    "md": "424356fc5bd833f8b387c9e18936fb10"
+          "2451072d513be71b5f70accdf5c0de88",
+    "conv": "3e1ed9e7d57eca5192d5b6e256cf47e6"
+            "2ec2365c9ed1b94c5fab976c3c61ec2d",
 }
 
 
