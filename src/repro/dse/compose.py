@@ -34,22 +34,15 @@ contracts:
   ``workers=1``, and checkpoint/resume round-trips the trajectory.
 """
 
-import base64
-import json
 import os
-import pickle
 import time
 from dataclasses import asdict, dataclass, field
-
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.adg import topologies
 from repro.adg.features import graph_feature_vector
 from repro.adg.merge import merge_all
 from repro.compiler.pipeline import compile_kernel
+from repro.dse.checkpoint import load_checkpoint, save_checkpoint
 from repro.dse.mutation import trim_unused_features
 from repro.dse.objective import DseObjective
 from repro.dse.explorer import DSE_FIDELITIES, default_fidelity
@@ -58,6 +51,7 @@ from repro.estimation.power_area import default_model
 from repro.estimation.surrogate import SurrogateModel
 from repro.scheduler.warmstart import translate_warm_schedules
 from repro.utils.rng import DeterministicRng
+from repro.utils.runner import ForkRunner
 from repro.utils.telemetry import Telemetry
 
 #: Checkpoint-file schema version for composition runs.
@@ -192,7 +186,7 @@ def specialize_kernels(kernels, rng, sched_iters=200, area_power=None,
 
 
 # ---------------------------------------------------------------------------
-# Candidate evaluation (pure; pool-able via the fork-inherited global)
+# Candidate evaluation (pure; pool-able via repro.utils.runner)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -240,19 +234,13 @@ class ComposeOutcome:
     counters: dict = field(default_factory=dict)
 
 
-#: Module global read by pool workers; set by :meth:`run` immediately
-#: before the (fork-started) pool is created so children inherit it.
-_COMPOSE_CONTEXT = None
-
-
-def _evaluate_composition(task, context=None):
+def _evaluate_composition(task, ctx):
     """Warm-start + compile every kernel on its cluster fabric.
 
-    Pure in ``(task, context)``: the serial path and the process-pool
-    path are interchangeable. All framework errors fold into a failed
+    Pure in ``(task, ctx)``: the serial path and the process-pool path
+    are interchangeable. All framework errors fold into a failed
     outcome so one bad composition never aborts its generation.
     """
-    ctx = context if context is not None else _COMPOSE_CONTEXT
     stage = {}
     counters = {"compose_evaluated": 1}
     start = time.perf_counter()
@@ -323,6 +311,15 @@ def _evaluate_composition(task, context=None):
         partition=task.partition, area=area, power=power,
         cycles=cycles, results=results, stage_seconds=stage,
         counters=counters,
+    )
+
+
+def _failed_composition(task, exc):
+    """The rejected outcome of a candidate whose serial retry raised."""
+    return ComposeOutcome(
+        index=task.index, iteration=task.iteration, ok=False,
+        partition=task.partition, reason="worker-failed",
+        counters={"compose_evaluated": 1, "compose_failed": 1},
     )
 
 
@@ -417,8 +414,6 @@ class CompositionExplorer:
         self.workers = max(1, int(workers))
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.eval_timeout = eval_timeout
-        self._pool = None
-        self._pool_workers = 1
         self._fabric_cache = {}  # cluster tuple -> (fabric, {k: node_map})
 
     # ------------------------------------------------------------------
@@ -458,77 +453,6 @@ class CompositionExplorer:
             area_budget_mm2=self.objective.area_budget_mm2,
             power_budget_mw=self.objective.power_budget_mw,
         )
-
-    # -- pool management (same degradation contract as the explorer) ----
-    def _make_pool(self, workers):
-        if workers <= 1:
-            return None
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self.telemetry.incr("pool_unavailable")
-            return None
-        try:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        except OSError:
-            self.telemetry.incr("pool_unavailable")
-            return None
-
-    def _rebuild_pool(self):
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self.telemetry.incr("compose_pool_rebuilds")
-        self._pool = self._make_pool(self._pool_workers)
-
-    def _retry_serially(self, task, context):
-        self.telemetry.incr("compose_worker_retries")
-        try:
-            return _evaluate_composition(task, context)
-        except Exception:
-            return ComposeOutcome(
-                index=task.index, iteration=task.iteration, ok=False,
-                partition=task.partition, reason="worker-failed",
-                counters={"compose_evaluated": 1, "compose_failed": 1},
-            )
-
-    def _evaluate_batch(self, tasks, context):
-        pool = self._pool
-        if pool is None:
-            return [_evaluate_composition(task, context)
-                    for task in tasks]
-        try:
-            futures = [
-                (task, pool.submit(_evaluate_composition, task))
-                for task in tasks
-            ]
-        except Exception:
-            self.telemetry.incr("worker_errors")
-            self._rebuild_pool()
-            return [self._retry_serially(task, context) for task in tasks]
-        outcomes = []
-        rebuild = False
-        for task, future in futures:
-            try:
-                outcomes.append(future.result(timeout=self.eval_timeout))
-            except _FutureTimeout:
-                self.telemetry.incr("compose_worker_timeouts")
-                future.cancel()
-                rebuild = True
-                outcomes.append(self._retry_serially(task, context))
-            except BrokenProcessPool:
-                self.telemetry.incr("worker_errors")
-                rebuild = True
-                outcomes.append(self._retry_serially(task, context))
-            except Exception:
-                self.telemetry.incr("worker_errors")
-                outcomes.append(self._retry_serially(task, context))
-        if rebuild:
-            self._rebuild_pool()
-        return outcomes
 
     # ------------------------------------------------------------------
     def _composition_features(self, partition):
@@ -622,13 +546,14 @@ class CompositionExplorer:
 
         saved = None
         if resume and checkpoint_path and os.path.exists(checkpoint_path):
-            saved = self._load_checkpoint(checkpoint_path)
+            saved, state = load_checkpoint(
+                checkpoint_path, COMPOSE_CHECKPOINT_VERSION, self._pinned()
+            )
 
-        context = self._context()
         result = None
         if saved is not None:
             (best_partition, saved_surrogate, strategy_best,
-             kernel_cycles) = saved["state"]
+             kernel_cycles) = state
             if self.surrogate is not None:
                 self.surrogate = saved_surrogate
             best_score = saved["best_objective"]
@@ -640,7 +565,11 @@ class CompositionExplorer:
                 kernel_cycles=kernel_cycles,
             )
             result.history = [
-                ComposeHistoryEntry(**entry) for entry in saved["history"]
+                ComposeHistoryEntry(**{
+                    **entry,
+                    "partition": canonical_partition(entry["partition"]),
+                })
+                for entry in saved["history"]
             ]
             stale = saved["stale"]
             start_iteration = saved["iteration"] + 1
@@ -656,12 +585,12 @@ class CompositionExplorer:
             best_partition = None
             best_score = float("-inf")
 
-        global _COMPOSE_CONTEXT
-        _COMPOSE_CONTEXT = context
-        self._pool_workers = workers
-        self._pool = self._make_pool(workers)
         last_iteration = start_iteration - 1
-        try:
+        with ForkRunner(
+            _evaluate_composition, self._context(), workers, telemetry,
+            "compose", timeout=self.eval_timeout,
+            on_failure=_failed_composition,
+        ) as runner:
             if saved is None:
                 seeds = [canonical_partition([names])]
                 per_kernel = canonical_partition(
@@ -678,7 +607,7 @@ class CompositionExplorer:
                     area_budget_mm2=self.objective.area_budget_mm2,
                 )
                 accepted = self._run_generation(
-                    candidates, 0, result, best_score, context,
+                    candidates, 0, result, best_score, runner,
                     finalists=len(candidates),
                 )
                 if accepted is None:
@@ -708,7 +637,7 @@ class CompositionExplorer:
                 else:
                     accepted = self._run_generation(
                         candidates, iteration, result, best_score,
-                        context, finalists=finalists,
+                        runner, finalists=finalists,
                     )
                     if accepted is None:
                         stale += 1
@@ -724,11 +653,6 @@ class CompositionExplorer:
                         checkpoint_path, iteration, stale, result,
                         best_score,
                     )
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            _COMPOSE_CONTEXT = None
 
         if checkpoint_path:
             self._write_checkpoint(
@@ -758,7 +682,7 @@ class CompositionExplorer:
 
     # ------------------------------------------------------------------
     def _run_generation(self, candidates, iteration, result, best_score,
-                        context, finalists=None):
+                        runner, finalists=None):
         """Evaluate one generation of (partition, descriptions)
         candidates; returns ``(partition, score, cycles)`` for a strict
         improvement or None."""
@@ -778,7 +702,7 @@ class CompositionExplorer:
                 seed=self.rng.spawn("ceval", iteration, idx).seed,
             ))
         with telemetry.timer("evaluate"):
-            outcomes = self._evaluate_batch(tasks, context)
+            outcomes = runner.map(tasks)
         winner = None
         winner_score = best_score
         scores = []
@@ -861,12 +785,9 @@ class CompositionExplorer:
             for name in sorted(self.specialized)
         ]
 
-    def _write_checkpoint(self, path, iteration, stale, result,
-                          best_score):
-        """Atomic JSON checkpoint; the surrogate/partition state rides
-        a base64 pickle blob (same contract as the DSE explorer)."""
-        record = {
-            "version": COMPOSE_CHECKPOINT_VERSION,
+    def _pinned(self):
+        """Settings a resumed run must share with its checkpoint."""
+        return {
             "seed": repr(self.rng.seed),
             "fidelity": self.fidelity,
             "surrogate_top": self.surrogate_top,
@@ -876,76 +797,22 @@ class CompositionExplorer:
             "power_budget_mw": self.objective.power_budget_mw,
             "sched_iters": self.sched_iters,
             "specialized": self._specialized_fingerprint(),
+        }
+
+    def _write_checkpoint(self, path, iteration, stale, result,
+                          best_score):
+        """Persist the run state (see :mod:`repro.dse.checkpoint`); the
+        partition and surrogate state ride the pickle blob."""
+        save_checkpoint(path, COMPOSE_CHECKPOINT_VERSION, self._pinned(), {
             "iteration": iteration,
             "stale": stale,
             "best_objective": best_score,
             "history": [asdict(entry) for entry in result.history],
-            "state_blob": base64.b64encode(pickle.dumps((
-                result.best_partition, self.surrogate,
-                dict(result.strategy_best), dict(result.kernel_cycles),
-            ))).decode("ascii"),
-        }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(record, handle)
-        os.replace(tmp, path)
+        }, (
+            result.best_partition, self.surrogate,
+            dict(result.strategy_best), dict(result.kernel_cycles),
+        ))
         self.telemetry.incr("compose_checkpoints_written")
-
-    def _load_checkpoint(self, path):
-        with open(path) as handle:
-            record = json.load(handle)
-        version = record.get("version")
-        if version != COMPOSE_CHECKPOINT_VERSION:
-            raise DseError(
-                f"checkpoint {path!r} has version {version!r}; "
-                f"expected {COMPOSE_CHECKPOINT_VERSION}"
-            )
-        if record.get("seed") != repr(self.rng.seed):
-            raise DseError(
-                f"checkpoint {path!r} was written with seed "
-                f"{record.get('seed')}; this run uses "
-                f"{self.rng.seed!r} — resuming would break trajectory "
-                "determinism"
-            )
-        for knob in ("fidelity", "surrogate_top", "surrogate_widen",
-                     "recalibrate_every", "sched_iters"):
-            if record.get(knob) != getattr(self, knob):
-                raise DseError(
-                    f"checkpoint {path!r} was written with "
-                    f"{knob}={record.get(knob)!r}; this run uses "
-                    f"{getattr(self, knob)!r} — resuming would break "
-                    "trajectory determinism"
-                )
-        for knob, value in (
-            ("area_budget_mm2", self.objective.area_budget_mm2),
-            ("power_budget_mw", self.objective.power_budget_mw),
-        ):
-            if record.get(knob) != value:
-                raise DseError(
-                    f"checkpoint {path!r} was written with "
-                    f"{knob}={record.get(knob)!r}; this run uses "
-                    f"{value!r}"
-                )
-        if record.get("specialized") != self._specialized_fingerprint():
-            raise DseError(
-                f"checkpoint {path!r} was written against different "
-                "specialized fabrics — resuming would break trajectory "
-                "determinism"
-            )
-        history = [
-            {**entry,
-             "partition": canonical_partition(entry["partition"])}
-            for entry in record["history"]
-        ]
-        return {
-            "state": pickle.loads(
-                base64.b64decode(record["state_blob"])
-            ),
-            "iteration": record["iteration"],
-            "stale": record["stale"],
-            "best_objective": record["best_objective"],
-            "history": history,
-        }
 
 
 # ---------------------------------------------------------------------------

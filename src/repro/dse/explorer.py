@@ -7,8 +7,8 @@ remapping from scratch, evaluated in Figure 11 — then estimate
 performance/area/power with the analytical models), and accepts the best
 candidate whose perf^2/mm^2 objective improves on the incumbent.
 
-Candidate evaluation is embarrassingly parallel and runs across a
-``concurrent.futures.ProcessPoolExecutor`` when ``workers > 1``. Two
+Candidate evaluation is embarrassingly parallel and runs across a fork
+pool (:class:`repro.utils.runner.ForkRunner`) when ``workers > 1``. Two
 properties make ``workers=N`` bit-identical to ``workers=1``:
 
 * every candidate draws randomness from a child seed derived *by key*
@@ -50,20 +50,14 @@ Every stage (mutate / surrogate / estimate / compile) is wrapped in
 generation can be appended to a JSONL run log.
 """
 
-import base64
-import json
 import math
-import multiprocessing
 import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 from repro.adg.features import graph_feature_vector
 from repro.compiler.pipeline import compile_kernel
+from repro.dse.checkpoint import load_checkpoint, save_checkpoint
 from repro.dse.mutation import (
     AdgMutator,
     sample_generation,
@@ -76,6 +70,7 @@ from repro.estimation.power_area import default_model
 from repro.estimation.surrogate import SurrogateModel
 from repro.scheduler.repair import strip_invalid
 from repro.utils.rng import DeterministicRng
+from repro.utils.runner import ForkRunner
 from repro.utils.telemetry import Telemetry
 
 #: Generation-pipeline fidelity modes: ``multi`` = surrogate-ranked wide
@@ -204,14 +199,12 @@ class CandidateOutcome:
     counters: dict = field(default_factory=dict)
 
 
-#: Module global read by pool workers; set by :meth:`run` immediately
-#: before the (fork-started) pool is created so children inherit it.
-_EVAL_CONTEXT = None
-
 #: Checkpoint-file schema version (see ``DesignSpaceExplorer.run``).
 #: v2: the state blob grew the surrogate model (training buffer and
 #: fitted weights), and the record pins the fidelity knobs.
-CHECKPOINT_VERSION = 2
+#: v3: the record also pins sched_iters, use_repair, both budgets and
+#: the kernel names (see ``DesignSpaceExplorer._pinned``).
+CHECKPOINT_VERSION = 3
 
 
 def _compile_kernels(context, adg, rng, warm_schedules=None, budget=None):
@@ -296,15 +289,12 @@ def _compile_kernels(context, adg, rng, warm_schedules=None, budget=None):
     return _finish(results)
 
 
-def _evaluate_candidate(task, context=None):
-    """Estimate + compile one candidate. Pure in (task, context).
-
-    Used directly on the serial path and as the pool target (where
-    ``context`` comes from the fork-inherited module global). All
+def _evaluate_candidate(task, ctx):
+    """Estimate + compile one candidate. Pure in (task, ctx), so the
+    serial path and the process-pool path are interchangeable. All
     framework errors are folded into a failed outcome so one bad
     candidate never aborts its generation.
     """
-    ctx = context if context is not None else _EVAL_CONTEXT
     stage = {}
     counters = {"candidates_evaluated": 1}
     start = time.perf_counter()
@@ -349,6 +339,15 @@ def _evaluate_candidate(task, context=None):
         index=task.index, iteration=task.iteration, ok=True,
         area=area, power=power, cycles=cycles, results=results,
         schedules=schedules, stage_seconds=stage, counters=counters,
+    )
+
+
+def _failed_candidate(task, exc):
+    """The rejected outcome of a candidate whose serial retry raised."""
+    return CandidateOutcome(
+        index=task.index, iteration=task.iteration, ok=False,
+        reason="worker-failed",
+        counters={"candidates_evaluated": 1, "candidates_failed": 1},
     )
 
 
@@ -422,10 +421,8 @@ class DesignSpaceExplorer:
         self.batch = batch
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         # Per-candidate wall-clock budget (seconds) for pool evaluation;
-        # None disables the watchdog. See _evaluate_batch.
+        # None disables the watchdog. See repro.utils.runner.
         self.eval_timeout = eval_timeout
-        self._pool = None
-        self._pool_workers = 1
 
     # ------------------------------------------------------------------
     def _context(self):
@@ -440,92 +437,20 @@ class DesignSpaceExplorer:
             power_budget_mw=self.objective.power_budget_mw,
         )
 
-    def _make_pool(self, workers):
-        """A fork-context pool (workers inherit the kernel closures), or
-        None when parallelism is unavailable."""
-        if workers <= 1:
-            return None
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self.telemetry.incr("pool_unavailable")
-            return None
-        try:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        except OSError:
-            self.telemetry.incr("pool_unavailable")
-            return None
-
-    def _retry_serially(self, task, context):
-        """One in-process retry of a failed/timed-out candidate; a second
-        failure becomes a rejected candidate, never a crashed run."""
-        self.telemetry.incr("dse_worker_retries")
-        try:
-            return _evaluate_candidate(task, context)
-        except Exception:
-            return CandidateOutcome(
-                index=task.index, iteration=task.iteration, ok=False,
-                reason="worker-failed",
-                counters={"candidates_evaluated": 1,
-                          "candidates_failed": 1},
-            )
-
-    def _evaluate_batch(self, tasks, context):
-        """Evaluate tasks, returning outcomes in candidate-index order.
-
-        Pool failures degrade per candidate instead of crashing the run:
-        a future that exceeds ``eval_timeout`` or dies with the pool is
-        retried once serially in-process; if that also fails the
-        candidate is recorded as rejected. After any timeout or pool
-        breakage the pool is rebuilt (abandoned workers may still be
-        grinding on the stuck candidate).
-        """
-        pool = self._pool
-        if pool is None:
-            return [_evaluate_candidate(task, context) for task in tasks]
-        try:
-            futures = [
-                (task, pool.submit(_evaluate_candidate, task))
-                for task in tasks
-            ]
-        except Exception:
-            # submit() itself failing means the pool is already broken.
-            self.telemetry.incr("worker_errors")
-            self._rebuild_pool()
-            return [self._retry_serially(task, context) for task in tasks]
-        outcomes = []
-        rebuild = False
-        for task, future in futures:
-            try:
-                outcomes.append(future.result(timeout=self.eval_timeout))
-            except _FutureTimeout:
-                self.telemetry.incr("dse_worker_timeouts")
-                future.cancel()
-                rebuild = True
-                outcomes.append(self._retry_serially(task, context))
-            except BrokenProcessPool:
-                self.telemetry.incr("worker_errors")
-                rebuild = True
-                outcomes.append(self._retry_serially(task, context))
-            except Exception:
-                # Unpicklable payload / worker exception: the pool itself
-                # is fine, so retry in process without a rebuild.
-                self.telemetry.incr("worker_errors")
-                outcomes.append(self._retry_serially(task, context))
-        if rebuild:
-            self._rebuild_pool()
-        return outcomes
-
-    def _rebuild_pool(self):
-        """Tear down a suspect pool and start a fresh one."""
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self.telemetry.incr("dse_pool_rebuilds")
-        self._pool = self._make_pool(self._pool_workers)
+    def _pinned(self):
+        """Settings a resumed run must share with its checkpoint."""
+        return {
+            "seed": repr(self.rng.seed),
+            "fidelity": self.fidelity,
+            "surrogate_top": self.surrogate_top,
+            "surrogate_widen": self.surrogate_widen,
+            "recalibrate_every": self.recalibrate_every,
+            "sched_iters": self.sched_iters,
+            "use_repair": self.use_repair,
+            "area_budget_mm2": self.objective.area_budget_mm2,
+            "power_budget_mw": self.objective.power_budget_mw,
+            "kernels": sorted(kernel.name for kernel in self.kernels),
+        }
 
     # ------------------------------------------------------------------
     def run(self, max_iters=50, patience=None, mutations_per_step=None,
@@ -576,12 +501,13 @@ class DesignSpaceExplorer:
 
         saved = None
         if resume and checkpoint_path and os.path.exists(checkpoint_path):
-            saved = self._load_checkpoint(checkpoint_path)
+            saved, state = load_checkpoint(
+                checkpoint_path, CHECKPOINT_VERSION, self._pinned()
+            )
 
         context = self._context()
         if saved is not None:
-            (best_adg, schedules, cycles, results,
-             saved_surrogate) = saved["state"]
+            best_adg, schedules, cycles, results, saved_surrogate = state
             if self.surrogate is not None:
                 # Bit-exact training state: the resumed trajectory sees
                 # the same model the uninterrupted run would have.
@@ -641,12 +567,18 @@ class DesignSpaceExplorer:
                 "batch": batch,
             })
 
-        global _EVAL_CONTEXT
-        _EVAL_CONTEXT = context
-        self._pool_workers = workers
-        self._pool = self._make_pool(workers)
+        def checkpoint(iteration):
+            self._write_checkpoint(
+                checkpoint_path, iteration, stale, result, best_score,
+                (best_adg, schedules, cycles, result.kernel_results,
+                 self.surrogate),
+            )
+
         last_iteration = start_iteration - 1
-        try:
+        with ForkRunner(
+            _evaluate_candidate, context, workers, telemetry, "dse",
+            timeout=self.eval_timeout, on_failure=_failed_candidate,
+        ) as runner:
             if saved is None:
                 # Iteration 1: the paper's cleanup step — drop features
                 # no schedule uses (Figure 14's early area drop).
@@ -657,7 +589,7 @@ class DesignSpaceExplorer:
                 ):
                     accepted = self._run_generation(
                         [(trimmed, ["trim"])], schedules, 1, result,
-                        best_score, context, finalists=finalists,
+                        best_score, runner, finalists=finalists,
                     )
                     if accepted is not None:
                         best_adg, best_score, cycles, schedules = accepted
@@ -665,11 +597,7 @@ class DesignSpaceExplorer:
                         result.best_objective = best_score
                 last_iteration = 1
                 if checkpoint_path:
-                    self._write_checkpoint(
-                        checkpoint_path, 1, stale, result, best_score,
-                        (best_adg, schedules, cycles,
-                         result.kernel_results, self.surrogate),
-                    )
+                    checkpoint(1)
 
             for iteration in range(start_iteration, max_iters + 2):
                 if stale >= patience:
@@ -685,7 +613,7 @@ class DesignSpaceExplorer:
                 else:
                     accepted = self._run_generation(
                         candidates, schedules, iteration, result,
-                        best_score, context, finalists=finalists,
+                        best_score, runner, finalists=finalists,
                     )
                     if accepted is None:
                         stale += 1
@@ -696,25 +624,10 @@ class DesignSpaceExplorer:
                         stale = 0
                 last_iteration = iteration
                 if checkpoint_path and iteration % checkpoint_every == 0:
-                    self._write_checkpoint(
-                        checkpoint_path, iteration, stale, result,
-                        best_score,
-                        (best_adg, schedules, cycles,
-                         result.kernel_results, self.surrogate),
-                    )
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            _EVAL_CONTEXT = None
+                    checkpoint(iteration)
 
         if checkpoint_path:
-            self._write_checkpoint(
-                checkpoint_path, last_iteration, stale, result,
-                best_score,
-                (best_adg, schedules, cycles, result.kernel_results,
-                 self.surrogate),
-            )
+            checkpoint(last_iteration)
 
         if measure_finalists and result.kernel_results:
             # Deferred import: finalist_sim pulls in the simulator stack,
@@ -771,21 +684,15 @@ class DesignSpaceExplorer:
     # ------------------------------------------------------------------
     def _write_checkpoint(self, path, iteration, stale, result,
                           best_score, state):
-        """Atomically persist the run state as JSON + a pickle blob.
+        """Persist the run state (see :mod:`repro.dse.checkpoint`).
 
         History / objective / baseline stay human-readable; the ADG,
-        warm schedules, and surrogate training state ride in a base64
-        pickle blob because the JSON ADG round-trip renumbers link ids,
-        which would orphan every warm route (and the surrogate buffer
-        must round-trip bit-exactly).
+        warm schedules, and surrogate training state ride in the pickle
+        blob because the JSON ADG round-trip renumbers link ids, which
+        would orphan every warm route (and the surrogate buffer must
+        round-trip bit-exactly).
         """
-        record = {
-            "version": CHECKPOINT_VERSION,
-            "seed": repr(self.rng.seed),
-            "fidelity": self.fidelity,
-            "surrogate_top": self.surrogate_top,
-            "surrogate_widen": self.surrogate_widen,
-            "recalibrate_every": self.recalibrate_every,
+        save_checkpoint(path, CHECKPOINT_VERSION, self._pinned(), {
             "iteration": iteration,
             "stale": stale,
             "best_objective": best_score,
@@ -793,52 +700,8 @@ class DesignSpaceExplorer:
             "initial_power": result.initial_power,
             "baseline_cycles": dict(self.objective.baseline_cycles),
             "history": [asdict(entry) for entry in result.history],
-            "state_blob": base64.b64encode(
-                pickle.dumps(state)
-            ).decode("ascii"),
-        }
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as handle:
-            json.dump(record, handle)
-        os.replace(tmp, path)
+        }, state)
         self.telemetry.incr("dse_checkpoints_written")
-
-    def _load_checkpoint(self, path):
-        with open(path) as handle:
-            record = json.load(handle)
-        version = record.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise DseError(
-                f"checkpoint {path!r} has version {version!r}; "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        if record.get("seed") != repr(self.rng.seed):
-            raise DseError(
-                f"checkpoint {path!r} was written with seed "
-                f"{record.get('seed')}; this run uses {self.rng.seed!r} "
-                "— resuming would break trajectory determinism"
-            )
-        for knob in ("fidelity", "surrogate_top", "surrogate_widen",
-                     "recalibrate_every"):
-            if record.get(knob) != getattr(self, knob):
-                raise DseError(
-                    f"checkpoint {path!r} was written with "
-                    f"{knob}={record.get(knob)!r}; this run uses "
-                    f"{getattr(self, knob)!r} — resuming would break "
-                    "trajectory determinism"
-                )
-        return {
-            "state": pickle.loads(
-                base64.b64decode(record["state_blob"])
-            ),
-            "iteration": record["iteration"],
-            "stale": record["stale"],
-            "best_objective": record["best_objective"],
-            "initial_area": record["initial_area"],
-            "initial_power": record["initial_power"],
-            "baseline_cycles": record["baseline_cycles"],
-            "history": record["history"],
-        }
 
     # ------------------------------------------------------------------
     def _select_finalists(self, candidates, finalists):
@@ -887,7 +750,7 @@ class DesignSpaceExplorer:
         return chosen, features, predictions
 
     def _run_generation(self, candidates, warm_schedules, iteration,
-                        result, best_score, context, finalists=None):
+                        result, best_score, runner, finalists=None):
         """Evaluate one generation of (adg, descriptions) candidates.
 
         With the surrogate enabled the generation is first funneled
@@ -915,7 +778,7 @@ class DesignSpaceExplorer:
             for idx, src in enumerate(chosen)
         ]
         with telemetry.timer("evaluate"):
-            outcomes = self._evaluate_batch(tasks, context)
+            outcomes = runner.map(tasks)
         winner = None
         winner_score = best_score
         scores = []

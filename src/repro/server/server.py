@@ -67,7 +67,7 @@ import os
 import pickle
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.server.jobs import (
@@ -80,6 +80,7 @@ from repro.server.jobs import (
 )
 from repro.server.journal import JobJournal, recover_state
 from repro.server.store import ArtifactStore
+from repro.utils.runner import discard_pool, fork_pool
 
 __all__ = ["CompileServer", "BackgroundServer", "serve"]
 
@@ -169,15 +170,8 @@ class CompileServer:
         return max(1, self.workers)
 
     def _make_pool(self):
-        if self.workers == 0:
-            return None
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            return None  # no fork: fall back to the serial thread
-        return ProcessPoolExecutor(max_workers=1, mp_context=context)
+        # None (no fork, or workers=0) falls back to the serial thread.
+        return fork_pool(1) if self.workers else None
 
     async def start(self, host="127.0.0.1", port=0):
         self._loop = asyncio.get_running_loop()
@@ -218,7 +212,7 @@ class CompileServer:
                 pass
         for pool in self._pools:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                discard_pool(pool)
         self._serial.shutdown(wait=False, cancel_futures=True)
         if self.journal is not None:
             self.journal.close()
@@ -526,10 +520,7 @@ class CompileServer:
     def _rebuild_pool(self, shard):
         pool = self._pools[shard]
         if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
+            discard_pool(pool)
             self._incr("server_pool_rebuilds")
         self._pools[shard] = self._make_pool()
 

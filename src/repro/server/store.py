@@ -15,7 +15,8 @@ keyed by the canonical string of everything the computation depends on
   canonical key string; identical requests land on identical paths no
   matter which process computed them.
 * **Atomic writes** — objects and the index are both written to a
-  tempfile in the same directory and published with ``os.replace``, so
+  tempfile in the same directory and published with
+  :func:`repro.utils.fsio.atomic_write` (fsync + ``os.replace``), so
   a reader (or a reopened store after ``kill -9``) never observes a
   half-written file under the final name. The object file is published
   *before* the index entry, so the index never references an artifact
@@ -40,7 +41,8 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
+
+from repro.utils.fsio import atomic_write
 
 __all__ = ["ArtifactStore", "StoreError"]
 
@@ -55,24 +57,6 @@ class StoreError(Exception):
 class _Miss:
     def __repr__(self):
         return "<ArtifactStore.MISS>"
-
-
-def _atomic_write(path, data):
-    """Write ``data`` (bytes) to ``path`` via tempfile + ``os.replace``."""
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 class ArtifactStore:
@@ -172,7 +156,7 @@ class ArtifactStore:
             "seq": self._seq,
             "entries": self._entries,
         }
-        _atomic_write(
+        atomic_write(
             self._index_path,
             json.dumps(record, separators=(",", ":")).encode(),
         )
@@ -258,7 +242,7 @@ class ArtifactStore:
         }
         data = json.dumps(header, separators=(",", ":")).encode() \
             + b"\n" + blob
-        _atomic_write(self._object_path(digest), data)
+        atomic_write(self._object_path(digest), data)
         self._seq += 1
         self._entries[digest] = {
             "size": len(blob),

@@ -9,6 +9,8 @@ measurement path.
 """
 
 import multiprocessing
+from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.dse import (
     simulate_finalists,
     specialize_kernels,
 )
+from repro.dse import compose as compose_module
 from repro.errors import DseError
 from repro.scheduler import translate_warm_schedules
 from repro.server.jobs import (
@@ -31,8 +34,10 @@ from repro.server.jobs import (
     JobSpec,
     job_key,
 )
+from repro.utils import runner as runner_module
 from repro.utils.rng import DeterministicRng
 from repro.workloads import kernel as make_kernel
+from tests.test_dse_resilience import _FailingPool
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -171,6 +176,54 @@ class TestExplorerDeterminism:
         assert _trajectory(serial) == _trajectory(parallel)
         assert serial.best_objective == parallel.best_objective
         assert serial.best_partition == parallel.best_partition
+
+    @pytest.mark.parametrize("exc_factory, counter", [
+        (FutureTimeout, "compose_worker_timeouts"),
+        (lambda: BrokenProcessPool("worker died"), "worker_errors"),
+    ], ids=["timeout", "broken-pool"])
+    def test_failing_pool_matches_serial_trajectory(
+        self, specialized, monkeypatch, exc_factory, counter
+    ):
+        """Every pooled future fails; serial retries reproduce the
+        serial trajectory and each suspect pool is torn down."""
+        serial = _make_explorer(specialized, surrogate_top=2).run(
+            max_iters=2, workers=1
+        )
+        pools = []
+
+        def fake_fork_pool(workers):
+            pools.append(_FailingPool(exc_factory))
+            return pools[-1]
+
+        monkeypatch.setattr(runner_module, "fork_pool", fake_fork_pool)
+        explorer = _make_explorer(specialized, surrogate_top=2)
+        pooled = explorer.run(max_iters=2, workers=2, eval_timeout=0.001)
+        counters = explorer.telemetry.counters
+        assert counters[counter] > 0
+        assert counters["compose_worker_retries"] > 0
+        assert counters["compose_pool_rebuilds"] > 0
+        assert all(pool.shut_down for pool in pools)
+        assert _trajectory(pooled) == _trajectory(serial)
+        assert pooled.best_partition == serial.best_partition
+
+    def test_failed_retry_rejects_candidate(self, specialized, monkeypatch):
+        """A candidate whose serial retry raises too is rejected, not
+        propagated: here every seed fails, which the run reports."""
+        monkeypatch.setattr(
+            runner_module, "fork_pool",
+            lambda workers: _FailingPool(
+                lambda: BrokenProcessPool("worker died")
+            ),
+        )
+
+        def dies(task, context):
+            raise RuntimeError("retry also dies")
+
+        monkeypatch.setattr(compose_module, "_evaluate_composition", dies)
+        explorer = _make_explorer(specialized)
+        with pytest.raises(DseError, match="no seed composition"):
+            explorer.run(max_iters=1, workers=2)
+        assert explorer.telemetry.counters["compose_failed"] == 2
 
     def test_infeasible_budget_is_honest(self, specialized):
         explorer = _make_explorer(specialized, area_budget_mm2=1e-6)

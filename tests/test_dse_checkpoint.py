@@ -3,7 +3,9 @@
 The explorer's rng never consumes state between generations (children
 are spawned by ``(iteration, candidate)`` key), so a run restored from
 a checkpoint replays the exact remaining trajectory. These tests pin
-that equality in-process and through a real ``kill -9`` of the CLI.
+that equality in-process and through a real ``kill -9`` of the CLI,
+that a checkpoint written under different settings is refused, and
+that a failed write never damages the previous checkpoint.
 """
 
 import json
@@ -16,6 +18,7 @@ import time
 import pytest
 
 from repro.adg import topologies
+from repro.dse.checkpoint import load_checkpoint, save_checkpoint
 from repro.dse.explorer import CHECKPOINT_VERSION, DesignSpaceExplorer
 from repro.errors import DseError
 from repro.utils.rng import DeterministicRng
@@ -26,13 +29,14 @@ DSE_ITERS = 5
 SCHED_ITERS = 15
 
 
-def _make_explorer(seed=SEED):
+def _make_explorer(seed=SEED, kernels=("mm",), **kwargs):
+    kwargs.setdefault("sched_iters", SCHED_ITERS)
     return DesignSpaceExplorer(
-        [make_kernel("mm", 0.05)],
+        [make_kernel(name, 0.05) for name in kernels],
         topologies.dse_initial(),
         rng=DeterministicRng(seed),
-        sched_iters=SCHED_ITERS,
         initial_sched_iters=SCHED_ITERS * 3,
+        **kwargs,
     )
 
 
@@ -102,6 +106,99 @@ class TestCheckpointResume:
         )
         assert again.best_objective == first.best_objective
         assert _trajectory(again) == _trajectory(first)
+
+
+@pytest.fixture(scope="module")
+def pinned_checkpoint(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("pinned") / "ck.json")
+    _make_explorer(fidelity="multi").run(max_iters=1, checkpoint_path=path)
+    return path
+
+
+class TestPinnedSettings:
+    @pytest.mark.parametrize("key, changed", [
+        ("seed", {"seed": SEED + 1}),
+        ("fidelity", {"fidelity": "full"}),
+        ("surrogate_top", {"surrogate_top": 2}),
+        ("surrogate_widen", {"surrogate_widen": 3}),
+        ("recalibrate_every", {"recalibrate_every": 5}),
+        ("sched_iters", {"sched_iters": SCHED_ITERS * 2}),
+        ("use_repair", {"use_repair": False}),
+        ("area_budget_mm2", {"area_budget_mm2": 0.5}),
+        ("power_budget_mw", {"power_budget_mw": 1000.0}),
+        ("kernels", {"kernels": ("mm", "histogram")}),
+    ])
+    def test_resume_with_changed_setting_refuses(
+        self, pinned_checkpoint, key, changed
+    ):
+        kwargs = {"fidelity": "multi", **changed}
+        explorer = _make_explorer(**kwargs)
+        with pytest.raises(DseError, match=f"{key}="):
+            explorer.run(
+                max_iters=DSE_ITERS, checkpoint_path=pinned_checkpoint,
+                resume=True,
+            )
+
+    def test_unchanged_settings_resume(self, pinned_checkpoint, tmp_path):
+        path = str(tmp_path / "ck.json")
+        with open(pinned_checkpoint) as src, open(path, "w") as dst:
+            dst.write(src.read())
+        explorer = _make_explorer(fidelity="multi")
+        explorer.run(max_iters=1, checkpoint_path=path, resume=True)
+        assert explorer.telemetry.counters["dse_resumes"] == 1
+
+    def test_older_version_refuses(self, pinned_checkpoint, tmp_path):
+        with open(pinned_checkpoint) as handle:
+            record = json.load(handle)
+        record["version"] = 2
+        path = str(tmp_path / "v2.json")
+        with open(path, "w") as handle:
+            json.dump(record, handle)
+        with pytest.raises(DseError, match="version=2"):
+            _make_explorer(fidelity="multi").run(
+                max_iters=DSE_ITERS, checkpoint_path=path, resume=True,
+            )
+
+
+class TestAtomicWrite:
+    """A write that fails at any step leaves no tempfile behind and the
+    previous checkpoint readable."""
+
+    def _write_first(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, 1, {"seed": "s"}, {"iteration": 1}, ["old"])
+        return path
+
+    def _assert_intact(self, tmp_path, path):
+        assert os.listdir(tmp_path) == ["ck.json"]
+        record, state = load_checkpoint(path, 1, {"seed": "s"})
+        assert record["iteration"] == 1
+        assert state == ["old"]
+
+    @pytest.mark.parametrize("step", ["replace", "fsync"])
+    def test_failed_os_step_keeps_previous(
+        self, tmp_path, monkeypatch, step
+    ):
+        path = self._write_first(tmp_path)
+
+        def boom(*args, **kwargs):
+            raise OSError(f"injected {step} failure")
+
+        monkeypatch.setattr(os, step, boom)
+        with pytest.raises(OSError, match=step):
+            save_checkpoint(
+                path, 1, {"seed": "s"}, {"iteration": 2}, ["new"],
+            )
+        monkeypatch.undo()
+        self._assert_intact(tmp_path, path)
+
+    def test_unserializable_fields_keep_previous(self, tmp_path):
+        path = self._write_first(tmp_path)
+        with pytest.raises(TypeError):
+            save_checkpoint(
+                path, 1, {"seed": "s"}, {"iteration": object()}, ["new"],
+            )
+        self._assert_intact(tmp_path, path)
 
 
 class TestKillNineResume:

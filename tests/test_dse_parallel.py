@@ -15,6 +15,7 @@ from repro.adg import topologies
 from repro.dse import DesignSpaceExplorer
 from repro.dse import explorer as explorer_module
 from repro.errors import CompilationError
+from repro.utils import runner as runner_module
 from repro.utils.rng import DeterministicRng
 from repro.utils.telemetry import Telemetry
 from repro.workloads import kernel as make_kernel
@@ -164,17 +165,24 @@ class TestFailureResilience:
 
     def test_serial_fallback_when_fork_unavailable(self, monkeypatch):
         monkeypatch.setattr(
-            explorer_module.multiprocessing,
+            runner_module.multiprocessing,
             "get_all_start_methods",
             lambda: ["spawn"],
         )
-        explorer = _make_explorer()
-        assert explorer._make_pool(4) is None
+        assert runner_module.fork_pool(4) is None
+        explorer = _make_explorer(initial_sched_iters=30)
+        result = explorer.run(max_iters=0, workers=4)
         assert explorer.telemetry.counters["pool_unavailable"] == 1
+        assert result.best_adg is not None
 
-    def test_workers_one_makes_no_pool(self):
-        explorer = _make_explorer()
-        assert explorer._make_pool(1) is None
+    def test_workers_one_makes_no_pool(self, monkeypatch):
+        def no_fork(workers):
+            raise AssertionError("workers=1 must not build a pool")
+
+        monkeypatch.setattr(runner_module, "fork_pool", no_fork)
+        explorer = _make_explorer(initial_sched_iters=30)
+        explorer.run(max_iters=0, workers=1)
+        assert "pool_unavailable" not in explorer.telemetry.counters
 
 
 class TestTelemetryIntegration:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.adg import topologies
 from repro.dse.explorer import DesignSpaceExplorer
+from repro.utils import runner as runner_module
 from repro.utils.rng import DeterministicRng
 from repro.workloads import kernel as make_kernel
 
@@ -61,12 +62,12 @@ def _run_with_failing_pool(exc_factory, monkeypatch, **run_kwargs):
     explorer = _make_explorer()
     pools = []
 
-    def fake_make_pool(workers):
+    def fake_fork_pool(workers):
         pool = _FailingPool(exc_factory)
         pools.append(pool)
         return pool
 
-    monkeypatch.setattr(explorer, "_make_pool", fake_make_pool)
+    monkeypatch.setattr(runner_module, "fork_pool", fake_fork_pool)
     result = explorer.run(max_iters=DSE_ITERS, workers=2, **run_kwargs)
     return explorer, result, pools
 
@@ -113,7 +114,7 @@ class TestResilientPool:
 
         explorer = _make_explorer()
         monkeypatch.setattr(
-            explorer, "_make_pool",
+            runner_module, "fork_pool",
             lambda workers: _FailingPool(
                 lambda: BrokenProcessPool("worker died")
             ),
@@ -122,14 +123,14 @@ class TestResilientPool:
         real_eval = explorer_mod._evaluate_candidate
         calls = {"n": 0}
 
-        def flaky_eval(task, context=None):
+        def flaky_eval(task, context):
             calls["n"] += 1
             raise RuntimeError("retry also dies")
 
         # Initial compile runs before the pool exists; only patch the
         # retry path by swapping after construction of the run via a
         # wrapper that fails only for iteration >= 2 candidates.
-        def selective_eval(task, context=None):
+        def selective_eval(task, context):
             if task.iteration >= 2:
                 return flaky_eval(task, context)
             return real_eval(task, context)

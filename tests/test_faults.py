@@ -264,6 +264,31 @@ class TestCampaign:
 
         assert outcomes() == outcomes()
 
+    @pytest.mark.parametrize("engine", [None, "batched"])
+    def test_pooled_campaign_equals_serial(self, engine):
+        """The fork pool changes wall-clock only: outcomes and counters
+        at workers=2 equal workers=1, per case and per batched group."""
+
+        def run(workers):
+            telemetry = Telemetry()
+            summary = run_campaign(
+                workloads=("mm", "crs"), cases=6, seed=5,
+                sched_iters=SCHED_ITERS, workers=workers,
+                telemetry=telemetry, sim_engine=engine,
+            )
+            outcomes = [
+                (case.name, case.workload, outcome.status, outcome.cycles)
+                for case, outcome in summary.results
+            ]
+            return outcomes, dict(telemetry.counters)
+
+        serial_outcomes, serial_counters = run(1)
+        pooled_outcomes, pooled_counters = run(2)
+        assert {workload for _, workload, _, _ in serial_outcomes} == \
+            {"mm", "crs"}
+        assert pooled_outcomes == serial_outcomes
+        assert pooled_counters == serial_counters
+
     def test_campaign_writes_repro_on_miscompile(
         self, monkeypatch, tmp_path
     ):
